@@ -100,27 +100,36 @@ class Communicator:
         """Progress the middleware until ``request`` completes."""
         while not request.done:
             await self.rpi.advance_once()
-        request.future.result()  # re-raise failures
         return request
 
+    # waitall/waitany rescan their list only after the RPI's completion
+    # counter has moved: a request becomes done only in
+    # BaseRPI._complete, so a scan after a step with no completion would
+    # find what the last scan found.  The advance_once calls are the same.
     async def waitall(self, requests: Sequence[Request]) -> List[Request]:
         """MPI_Waitall."""
-        while not all(r.done for r in requests):
-            await self.rpi.advance_once()
-        for request in requests:
-            request.future.result()
-        return list(requests)
+        rpi = self.rpi
+        seen = None
+        while True:
+            if rpi.completions != seen:
+                seen = rpi.completions
+                if all(r.done for r in requests):
+                    return list(requests)
+            await rpi.advance_once()
 
     async def waitany(self, requests: Sequence[Request]) -> Tuple[int, Request]:
         """MPI_Waitany: index and request of the first completion."""
         if not requests:
             raise ValueError("waitany() needs at least one request")
+        rpi = self.rpi
+        seen = None
         while True:
-            for i, request in enumerate(requests):
-                if request.done:
-                    request.future.result()
-                    return i, request
-            await self.rpi.advance_once()
+            if rpi.completions != seen:
+                seen = rpi.completions
+                for i, request in enumerate(requests):
+                    if request.done:
+                        return i, request
+            await rpi.advance_once()
 
     def test(self, request: Request) -> bool:
         """MPI_Test: one non-blocking progression step, then check."""

@@ -1,9 +1,9 @@
 """MPI request objects and completion status.
 
 A :class:`Request` is what ``isend``/``irecv`` return; the progression
-engine moves it through its protocol states and completes the underlying
-future.  ``Status`` mirrors MPI_Status: actual source, tag and byte count
-— essential with wildcards.
+engine moves it through its protocol states and completes it.
+``Status`` mirrors MPI_Status: actual source, tag and byte count —
+essential with wildcards.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..simkernel import Future
 from ..util.blobs import ChunkList
 
 # request protocol states
@@ -44,7 +43,6 @@ class Request:
         self.id = Request._next_id
         Request._next_id += 1
         self.state = S_INIT
-        self.future = Future(name=f"{kind}-req-{self.id}")
         self.status = Status()
         self.data: Any = None  # decoded payload (recv side)
 
@@ -54,21 +52,15 @@ class Request:
         return self.state == S_DONE
 
     def complete(self, data: Any = None) -> None:
-        """Mark done and wake any waiter."""
+        """Mark done.
+
+        Only ``BaseRPI._complete`` calls this: the RPI counts completions
+        so that ``waitany``/``waitall`` can skip rescans.
+        """
         if self.state == S_DONE:
             return
         self.state = S_DONE
         self.data = data
-        if not self.future.done():
-            self.future.set_result(self)
-
-    def fail(self, exc: BaseException) -> None:
-        """Complete the request with an error."""
-        if self.state == S_DONE:
-            return
-        self.state = S_DONE
-        if not self.future.done():
-            self.future.set_exception(exc)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Request #{self.id} {self.kind} {self.state}>"

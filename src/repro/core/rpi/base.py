@@ -22,7 +22,8 @@ readiness.  Inbound traffic re-enters through :meth:`_on_unit` /
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ...analyze.sanitize import rpi_sanitizer
 from ...simkernel import AsyncEvent
@@ -44,6 +45,7 @@ from ..matching import PostedReceiveQueue, UnexpectedMessageTable
 from ..payload import decode_payload
 from ..request import (
     RecvRequest,
+    Request,
     S_RECV_BODY,
     S_RECV_POSTED,
     S_RNDV_WAIT_ACK,
@@ -85,6 +87,10 @@ class BaseRPI:
         self.size = process.size
         self.eager_limit = eager_limit
         self.stats = RPIStats()
+        # bumped by every request completion (_complete); wait* rescans
+        # their lists only when it has moved.  Deliberately not a stat or
+        # a probe: it must stay out of every metrics document.
+        self.completions = 0
 
         self.posted = PostedReceiveQueue()
         self.unexpected = UnexpectedMessageTable()
@@ -169,6 +175,11 @@ class BaseRPI:
         """Release a blocked :meth:`advance_once` (transport callbacks)."""
         self._wake.set()
 
+    def _complete(self, req: Request, data: Any = None) -> None:
+        """Complete ``req``; the only way any request becomes done."""
+        self.completions += 1
+        req.complete(data)
+
     # ------------------------------------------------------------------
     # send side
     # ------------------------------------------------------------------
@@ -191,7 +202,9 @@ class BaseRPI:
                 FLAG_SHORT | req.flags_extra, req.seqnum,
             )
             req.state = S_SENDING
-            self._enqueue_unit(req.dest, env, req.body, on_sent=req.complete)
+            self._enqueue_unit(
+                req.dest, env, req.body, on_sent=partial(self._complete, req)
+            )
         else:
             self.stats.rendezvous_sends += 1
             env = Envelope(
@@ -209,7 +222,9 @@ class BaseRPI:
             FLAG_LONG_BODY | req.flags_extra, req.seqnum,
         )
         req.state = S_SENDING
-        self._enqueue_unit(req.dest, env, req.body, on_sent=req.complete)
+        self._enqueue_unit(
+            req.dest, env, req.body, on_sent=partial(self._complete, req)
+        )
 
     # ------------------------------------------------------------------
     # receive side
@@ -258,7 +273,7 @@ class BaseRPI:
         req.status.tag = env.tag
         req.status.length = env.length
         data = decode_payload(body if body is not None else ChunkList(), env.flags)
-        req.complete(data)
+        self._complete(req, data)
 
     # ------------------------------------------------------------------
     # inbound units (called by transport subclasses)
@@ -295,7 +310,7 @@ class BaseRPI:
             if req is not None:
                 if self._san is not None:
                     self._san.expect_state(req, S_SSEND_WAIT_ACK, "SSEND_ACK")
-                req.complete()
+                self._complete(req)
         elif kind == FLAG_LONG_BODY:
             key = (env.rank, env.seqnum)
             req = self._recvs_awaiting_body.get(key)
@@ -343,7 +358,7 @@ class BaseRPI:
         if req.body.nbytes == req.expected_length:
             del self._recvs_awaiting_body[key]
             req.status.length = req.expected_length
-            req.complete(decode_payload(req.body, req.body_flags))
+            self._complete(req, decode_payload(req.body, req.body_flags))
 
     # -- init-time helpers ----------------------------------------------------
     def set_control_sink(self, sink: Optional[Callable[[int, Envelope], None]]) -> None:

@@ -199,6 +199,8 @@ class SCTPRPI(BaseRPI):
             progressed = True
         # outbound: only the head of each (rank, stream) queue may write
         # (Option B); EAGAIN on one stream does not stop the others.
+        # room: free send-buffer bytes per association, read lazily
+        room: Dict[int, int] = {}
         for (rank, stream), queue in self._outq.items():
             if not queue:
                 continue
@@ -207,7 +209,7 @@ class SCTPRPI(BaseRPI):
                 continue  # association still coming up (init)
             while queue:
                 unit = queue[0]
-                if self._transmit_some(assoc_id, stream, unit):
+                if self._transmit_some(assoc_id, stream, unit, room):
                     progressed = True
                 if unit.done():
                     queue.popleft()
@@ -217,11 +219,26 @@ class SCTPRPI(BaseRPI):
                     break  # sndbuf full: advance other streams/assocs
         return progressed
 
-    def _transmit_some(self, assoc_id: int, stream: int, unit: _SctpOutUnit) -> bool:
+    def _transmit_some(
+        self, assoc_id: int, stream: int, unit: _SctpOutUnit, room: Dict[int, int]
+    ) -> bool:
+        """Send pieces of ``unit`` until it is done or the sndbuf is full.
+
+        A piece larger than the association's free send-buffer space
+        (``room``, cached for this pump and re-read after each send)
+        would only be refused, so it is not built or offered: the EAGAIN
+        is decided here and ``sendmsg`` is not called.  A refused call
+        has no side effect and costs no CPU, so the outcome is the same.
+        """
+        free = room.get(assoc_id)
+        if free is None:
+            free = room[assoc_id] = self.sock.sndbuf_free(assoc_id)
         sent_any = False
         while not unit.done():
             if not unit.env_sent:
                 take = min(self.long_piece_size, unit.body.nbytes)
+                if ENVELOPE_SIZE + take > free:
+                    break  # EAGAIN
                 wire = ChunkList([unit.env.pack()])
                 wire.extend(unit.body.slice(0, take))
                 next_offset = take
@@ -229,10 +246,13 @@ class SCTPRPI(BaseRPI):
                 take = min(
                     self.long_piece_size, unit.body.nbytes - unit.body_offset
                 )
+                if take > free:
+                    break  # EAGAIN
                 wire = unit.body.slice(unit.body_offset, unit.body_offset + take)
                 next_offset = unit.body_offset + take
             if not self.sock.sendmsg(assoc_id, stream, wire):
                 break  # EAGAIN
+            free = room[assoc_id] = self.sock.sndbuf_free(assoc_id)
             self.host.cpu.charge(
                 self._mw_base_ns + self._mw_per_kib_ns * wire.nbytes // 1024
             )

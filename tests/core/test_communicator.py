@@ -86,6 +86,80 @@ def test_waitany_and_waitall(rpi):
     assert r.results[0] == [100, 200, 300]
 
 
+# waitany/waitall rescan their list only when a request has completed
+# since their last scan; the three tests below pin what that must keep.
+@BOTH_RPIS
+def test_waitany_same_step_completions_return_lowest_index(rpi):
+    async def app(comm):
+        if comm.rank == 1:
+            await comm.send("first", dest=0, tag=1)
+            await comm.send("second", dest=0, tag=2)
+            return None
+        # both receives are pending when waitany starts; both messages
+        # then sit in the socket, so one progression step completes both
+        reqs = [comm.irecv(source=1, tag=2), comm.irecv(source=1, tag=1)]
+        await comm.process.kernel.sleep(30_000_000)
+        before = comm.rpi.stats.advance_calls
+        idx, req = await comm.waitany(reqs)
+        return (idx, req.data, comm.rpi.stats.advance_calls - before,
+                [r.done for r in reqs])
+
+    r = run_app(app, n_procs=2, rpi=rpi, seed=1, limit_ns=LIMIT)
+    assert r.results[0] == (0, "second", 1, [True, True])
+
+
+@BOTH_RPIS
+def test_waitany_returns_already_done_request_without_progress(rpi):
+    async def app(comm):
+        kernel = comm.process.kernel
+        if comm.rank == 1:
+            await comm.send("now", dest=0, tag=1)
+            await kernel.sleep(50_000_000)
+            await comm.send("later", dest=0, tag=5)
+            return None
+        await kernel.sleep(30_000_000)
+        late = comm.irecv(source=1, tag=5)  # pending until t >= 50 ms
+        ready = comm.irecv(source=1, tag=1)  # matched on posting
+        assert ready.done and not late.done
+        before = comm.rpi.stats.advance_calls
+        idx, req = await comm.waitany([late, ready])
+        steps = comm.rpi.stats.advance_calls - before
+        await comm.wait(late)
+        return (idx, req.data, steps, late.data)
+
+    r = run_app(app, n_procs=2, rpi=rpi, seed=1, limit_ns=LIMIT)
+    assert r.results[0] == (1, "now", 0, "later")
+
+
+@BOTH_RPIS
+def test_waitall_mixes_done_and_pending_requests(rpi):
+    async def app(comm):
+        kernel = comm.process.kernel
+        if comm.rank == 1:
+            for tag in (1, 2):
+                await comm.send(tag * 10, dest=0, tag=tag)
+            await kernel.sleep(50_000_000)
+            for tag in (3, 4):
+                await comm.send(tag * 10, dest=0, tag=tag)
+            return None
+        await kernel.sleep(30_000_000)
+        early = [comm.irecv(source=1, tag=t) for t in (1, 2)]
+        late = [comm.irecv(source=1, tag=t) for t in (3, 4)]
+        assert all(r.done for r in early) and not any(r.done for r in late)
+        mixed = [late[0], early[0], late[1], early[1]]
+        before = comm.rpi.stats.advance_calls
+        got = await comm.waitall(mixed)
+        steps = comm.rpi.stats.advance_calls - before
+        # a waitall whose requests are all done makes no progression step
+        before = comm.rpi.stats.advance_calls
+        await comm.waitall(early + late)
+        return ([r.data for r in got], got == mixed, steps > 0,
+                comm.rpi.stats.advance_calls - before)
+
+    r = run_app(app, n_procs=2, rpi=rpi, seed=1, limit_ns=LIMIT)
+    assert r.results[0] == ([30, 10, 40, 20], True, True, 0)
+
+
 @BOTH_RPIS
 def test_ssend_completes_only_when_matched(rpi):
     async def app(comm):

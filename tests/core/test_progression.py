@@ -146,6 +146,70 @@ def test_sctp_option_b_no_interleave_on_stream():
     assert result.results[1] == (400_000, 400_000, 1_000)
 
 
+def test_sctp_skips_sends_that_cannot_fit_the_sndbuf():
+    """A head piece larger than the association's free send buffer is not
+    offered to sendmsg (it could only EAGAIN), yet a smaller head on
+    another stream of the same association still goes out in that pump."""
+    from repro.transport.sctp import SCTPConfig
+
+    cfg = WorldConfig(
+        n_procs=2, rpi="sctp", seed=1, eager_limit=4096,
+        sctp_config=SCTPConfig(sndbuf=12 * 1024),
+    )
+    tags = {"big_a": 3, "big_b": 5, "small": 4}
+
+    async def app(comm):
+        if comm.rank != 0:
+            got = [(await comm.recv(source=0, tag=tags["big_a"])).nbytes
+                   for _ in range(3)]
+            got.append((await comm.recv(source=0, tag=tags["big_b"])).nbytes)
+            got.append(len(await comm.recv(source=0, tag=tags["small"])))
+            return got
+        rpi = comm.rpi
+        pumps = [0]
+        calls = []  # (pump, stream, bytes, accepted) per sendmsg call
+        send, pump = rpi.sock.sendmsg, rpi._pump
+
+        def counting_pump():
+            pumps[0] += 1
+            return pump()
+
+        def recording_sendmsg(assoc_id, stream, payload, **kw):
+            accepted = send(assoc_id, stream, payload, **kw)
+            calls.append((pumps[0], stream, payload.nbytes, accepted))
+            return accepted
+
+        rpi._pump = counting_pump
+        rpi.sock.sendmsg = recording_sendmsg
+        reqs = [comm.isend(SyntheticBlob(4096), dest=1, tag=tags["big_a"])
+                for _ in range(3)]
+        reqs.append(comm.isend(SyntheticBlob(4096), dest=1, tag=tags["big_b"]))
+        # 12 KiB of sndbuf holds two 4096-byte units: the third big_a unit
+        # and the big_b unit are heads that cannot fit
+        big_streams = [rpi.stream_for(reqs[0].context, tags[k])
+                       for k in ("big_a", "big_b")]
+        heads = [rpi._outq[(1, s)][0] for s in big_streams]
+        assert not any(h.env_sent for h in heads)
+        blocked_pump = pumps[0] + 1
+        reqs.append(comm.isend(b"s" * 100, dest=1, tag=tags["small"]))
+        in_pump = [c for c in calls if c[0] == blocked_pump]
+        heads_still_blocked = not any(h.env_sent for h in heads)
+        await comm.waitall(reqs)
+        return calls, in_pump, big_streams, heads_still_blocked
+
+    result = World(cfg).run(app, limit_ns=LIMIT)
+    calls, in_pump, big_streams, heads_still_blocked = result.results[0]
+    assert result.results[1] == [4096, 4096, 4096, 4096, 100]
+    assert all(accepted for *_, accepted in calls)  # no refused sendmsg
+    # one call per big unit: none was offered and refused first
+    assert [c[2] for c in calls if c[1] in big_streams] == [4124] * 4
+    # the small unit went out in the pump in which both big heads were
+    # blocked on the same association, without a call for either of them
+    assert len(in_pump) == 1
+    assert in_pump[0][1] not in big_streams
+    assert heads_still_blocked
+
+
 @BOTH
 def test_engine_counts_units_and_bytes(rpi):
     async def app(comm):
