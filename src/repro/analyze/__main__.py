@@ -15,7 +15,8 @@ Subcommands
 
 ``ci [--root src/repro] [--baseline ANALYZE_baseline.json] [--sarif FILE]``
     The CI umbrella: lint + flow against the committed baseline in one
-    blocking step.  Exits nonzero if either stage reports anything new.
+    blocking step.  Exits nonzero if either stage reports anything new,
+    or if a baseline entry no longer matches any finding (stale).
 
 ``perturb EXPERIMENT:CELL [--modes lifo,shuffle:7] [--json FILE]``
     Schedule-perturbation race detector on one bench cell.  Exits 1 when
@@ -79,7 +80,7 @@ def _ci(argv: Sequence[str]) -> int:
     for finding in new_findings:
         print(finding.render())
     for entry in unused:
-        print(f"warning: baseline entry no longer matches anything: {entry}")
+        print(f"error: stale baseline entry (matches no finding): {entry}")
 
     if args.sarif:
         from pathlib import Path
@@ -94,7 +95,7 @@ def _ci(argv: Sequence[str]) -> int:
             encoding="utf-8",
         )
 
-    failed = bool(lint_findings) or bool(new_findings)
+    failed = bool(lint_findings) or bool(new_findings) or bool(unused)
     print(
         "repro.analyze ci: "
         f"lint={len(lint_findings)} new-flow={len(new_findings)} "

@@ -92,14 +92,14 @@ def _fail(layer: str, invariant: str, detail: str) -> None:
 
 
 class _PoolPoison:
-    """Sentinel stored in the fields of pooled (recycled) objects.
+    """Sentinel stored in the fields of pooled (recycled) Timers.
 
-    When sanitizers are on, the kernel's Timer pool and the network's
-    Packet pool overwrite payload fields with this object on recycle and
-    assert it is still present on reacquisition.  Any code path that
-    holds a stale handle and touches it after recycling either reads the
-    poison (caught at the next acquire/fire) or overwrites it (caught as
-    pool corruption) — the use-after-free of a pooled design.
+    When sanitizers are on, the kernel's Timer pool overwrites a recycled
+    timer's ``fn``/``args`` with this object and asserts it is still
+    present on reacquisition.  Any code path that holds a stale timer
+    handle and touches it after recycling either reads the poison (caught
+    at the next acquire/fire) or overwrites it (caught as pool
+    corruption) — the use-after-free of a pooled design.
 
     Calling it raises immediately: a poisoned callback reaching a
     dispatch loop is the worst version of the bug.

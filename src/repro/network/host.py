@@ -204,7 +204,6 @@ class Host:
         """Ingress path: charge receive CPU, then demux to the transport."""
         handler_recv = self._handler_recv.get(packet.proto)
         if handler_recv is None:
-            packet.release()
             return  # no listener: silently dropped, like an unhandled proto
         self.rx_packets += 1
         if self.taps:

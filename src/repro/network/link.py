@@ -90,14 +90,12 @@ class Link:
             raise RuntimeError(f"link {self.name} has no sink connected")
         if not self.up:
             self.admin_down_drops += 1
-            packet.release()
             return False
         size = packet.wire_size
         queued = self._queued_bytes + size
         if queued > self.queue_bytes:
             self.dropped_packets += 1
             self.dropped_bytes += size
-            packet.release()
             return False
         self._queued_bytes = queued
         if self._occupancy_hist is not None:

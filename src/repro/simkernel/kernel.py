@@ -15,8 +15,8 @@ Hot-path design (the simulator spends most of its wall-clock time here):
   was prototyped and measured *slower* in CPython: the big-int shift/mask
   temporaries needed to pack ``when``/``seq``/``slot`` into one key cost
   more than the single tuple they replace — see DESIGN.md § event-core
-  layout for the numbers.  The free-list idea survives as the Timer and
-  Packet object pools.)
+  layout for the numbers.  The free-list idea survives as the Timer
+  object pool.)
 * two scheduling paths share one heap and one sequence counter, so event
   *order* is identical whichever a caller uses: :meth:`Kernel.call_at`
   returns a cancellable :class:`Timer` handle, while :meth:`Kernel.post_at`
@@ -632,44 +632,15 @@ class Kernel:
         step is inlined rather than paying a full :meth:`run` call per
         event (frame setup, try/finally, loop re-entry); semantics and
         event order are identical to ``run(max_events=1)`` in a loop.
+        With a ``limit``, raises :class:`TimeoutError` instead of firing
+        the first event scheduled after it.
         """
         heap = self._heap  # _compact() mutates in place, never rebinds
+        pop = heappop  # local: one global lookup per run, not per event
         san = self._san
         wd = self._watchdog
         processed = 0
         try:
-            if limit is None:
-                # no-limit variant: pop-and-unpack directly, no peek and no
-                # per-event limit test (this is the common World.run path)
-                pop = heappop  # local: one global lookup per run, not per event
-                while fut._state is _PENDING:
-                    if not heap:
-                        raise DeadlockError(
-                            f"event heap drained at t={self._now}ns but {fut!r} "
-                            "is still pending (simulation deadlock)"
-                        )
-                    when, _seq, obj, args = pop(heap)
-                    if type(obj) is Timer:
-                        if obj.cancelled:
-                            self._cancelled_in_heap -= 1
-                            self._recycle_timer(obj)
-                            continue
-                        fn = obj.fn
-                        args = obj.args
-                        if san is not None and fn is POOL_POISON:
-                            san.pool_corruption("timer", obj)
-                        self._recycle_timer(obj)
-                    else:
-                        fn = obj
-                    self._live_events -= 1
-                    if san is not None:
-                        san.on_fire(when)
-                    self._now = when
-                    fn(*args)
-                    processed += 1
-                    if wd is not None:
-                        wd.tick(when)
-                return fut.result()
             # fut._state check == Future.done(), minus a method call per event
             while fut._state is _PENDING:
                 if not heap:
@@ -677,13 +648,12 @@ class Kernel:
                         f"event heap drained at t={self._now}ns but {fut!r} is "
                         "still pending (simulation deadlock)"
                     )
-                entry = heap[0]
-                if entry[0] > limit:
+                when, _seq, obj, args = heap[0]
+                if limit is not None and when > limit:
                     raise TimeoutError(
                         f"{fut!r} still pending at virtual time limit {limit}ns"
                     )
-                heappop(heap)
-                obj = entry[2]
+                pop(heap)
                 if type(obj) is Timer:
                     if obj.cancelled:
                         self._cancelled_in_heap -= 1
@@ -696,15 +666,14 @@ class Kernel:
                     self._recycle_timer(obj)
                 else:
                     fn = obj
-                    args = entry[3]
                 self._live_events -= 1
                 if san is not None:
-                    san.on_fire(entry[0])
-                self._now = entry[0]
+                    san.on_fire(when)
+                self._now = when
                 fn(*args)
                 processed += 1
                 if wd is not None:
-                    wd.tick(entry[0])
+                    wd.tick(when)
         finally:
             self._events_processed += processed
         return fut.result()

@@ -59,6 +59,32 @@ def test_acceptance_wall_clock_laundered_through_two_helpers_into_packet():
     assert "sink: store to .payload" in trace
 
 
+def test_wall_clock_through_helper_into_packet_constructor():
+    """The transports build every datagram as ``Packet(...)``: a tainted
+    constructor argument is a packet-field sink."""
+    p = program(
+        clock=(
+            "import time\n"
+            "def size():\n"
+            "    return int(time.time()) % 1500 + 40\n"
+        ),
+        net=(
+            "from .clock import size\n"
+            "class Packet:\n"
+            "    pass\n"
+            "def send(host, seg):\n"
+            "    host.send(Packet('a', 'b', 'tcp', seg, size()))\n"
+        ),
+    )
+    findings = analyze_program(p)
+    assert rules_of(findings) == ["AN201"]
+    [f] = findings
+    assert f.path == "src/app/net.py"
+    assert "time.time()" in f.source
+    assert "[packet field]" in f.sink and "Packet" in f.sink
+    assert "size" in "\n".join(f.trace)
+
+
 def test_taint_through_call_argument_into_kernel_schedule():
     p = program(
         main=(
@@ -330,3 +356,29 @@ def test_cli_flow_and_ci_exit_codes(tmp_path, capsys):
     assert main(["ci", "--sarif", str(sarif)]) == 0
     capsys.readouterr()
     assert json.loads(sarif.read_text())["version"] == "2.1.0"
+
+
+def test_cli_ci_fails_on_a_stale_baseline_entry(tmp_path, capsys):
+    """A baseline entry that matches no finding fails the gate, so the
+    accepted list cannot keep excusing code that is gone."""
+    from repro.analyze.__main__ import main
+    from repro.analyze.baseline import write_baseline
+
+    root = tmp_path / "app"
+    root.mkdir()
+    (root / "__init__.py").write_text("")
+    (root / "net.py").write_text("def send(pkt, size):\n    pkt.payload = size\n")
+    baseline = tmp_path / "base.json"
+    write_baseline([], str(baseline))
+    args = ["ci", "--root", str(root), "--package", "app", "--baseline", str(baseline)]
+    assert main(args) == 0
+    assert "stale-baseline=0 -> OK" in capsys.readouterr().out
+
+    gone = analyze_program(
+        program(net="import time\ndef send(pkt):\n    pkt.payload = time.time()\n")
+    )
+    write_baseline(gone, str(baseline))
+    assert main(args) == 1
+    out = capsys.readouterr().out
+    assert "error: stale baseline entry" in out
+    assert "stale-baseline=1 -> FAIL" in out
