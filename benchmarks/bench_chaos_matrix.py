@@ -8,11 +8,11 @@ blackhole out via failover while TCP must sit through RTO backoff, and
 corruption is rejected by integrity checks on both stacks.
 """
 
-from repro.bench import chaos_matrix, format_table
+from repro.bench import format_table, run_matrix
 
 
 def test_chaos_matrix(once):
-    rows = once(chaos_matrix)
+    rows = once(run_matrix, "chaos")
     print()
     print(format_table("Chaos matrix: fault scenarios x both stacks", rows))
     by_label = {row.label: row.measured for row in rows}

@@ -4,11 +4,11 @@ Paper shape: comparable at no loss; under 1-2% loss TCP's run time blows
 up by ~10x (short) and ~2.6x (long) relative to SCTP.
 """
 
-from repro.bench import fig10_farm, format_table
+from repro.bench import format_table, run_matrix
 
 
 def test_fig10_farm(once):
-    rows = once(fig10_farm)
+    rows = once(run_matrix, "fig10")
     print()
     print(format_table("Fig. 10: farm run times, fanout=1", rows))
     for row in rows:

@@ -5,11 +5,11 @@ TCP (more back-to-back data behind any lost segment), especially for
 long messages; SCTP degrades only mildly versus Fig. 10.
 """
 
-from repro.bench import fig11_farm_fanout, format_table
+from repro.bench import format_table, run_matrix
 
 
 def test_fig11_farm_fanout(once):
-    rows = once(fig11_farm_fanout)
+    rows = once(run_matrix, "fig11")
     print()
     print(format_table("Fig. 11: farm run times, fanout=10", rows))
     for row in rows:

@@ -6,11 +6,11 @@ blocking (~25% slower for long messages, ~35% at 2% loss for short);
 with no loss the two are equivalent.
 """
 
-from repro.bench import fig12_hol_blocking, format_table
+from repro.bench import format_table, run_matrix
 
 
 def test_fig12_hol_blocking(once):
-    rows = once(fig12_hol_blocking)
+    rows = once(run_matrix, "fig12")
     print()
     print(format_table("Fig. 12: 10 streams vs 1 stream (SCTP)", rows))
     for row in rows:

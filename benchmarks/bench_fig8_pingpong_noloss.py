@@ -5,11 +5,11 @@ the crossover near 22 KiB.  We assert the two qualitative ends (TCP ahead
 at <= 4 KiB, SCTP ahead at >= 96 KiB) and print the whole curve.
 """
 
-from repro.bench import fig8_pingpong_noloss, format_table
+from repro.bench import format_table, run_matrix
 
 
 def test_fig8_pingpong_noloss(once):
-    rows = once(fig8_pingpong_noloss)
+    rows = once(run_matrix, "fig8")
     print()
     print(format_table("Fig. 8: ping-pong throughput (no loss)", rows))
     ratios = {int(r.label.split()[1][:-1]): r.measured["sctp/tcp"] for r in rows}

@@ -9,13 +9,13 @@ import os
 
 import pytest
 
-from repro.bench import fig9_nas, format_table
+from repro.bench import format_table, run_matrix
 
 CLS = os.environ.get("REPRO_NPB_CLASS", "B")
 
 
 def test_fig9_nas_classB(once):
-    rows = once(fig9_nas, CLS)
+    rows = once(run_matrix, "fig9", cls=CLS)
     print()
     print(format_table(f"Fig. 9: NPB class {CLS} Mop/s (8 procs)", rows))
     by_name = {r.label.split()[1].split(".")[0]: r for r in rows}
@@ -32,7 +32,7 @@ def test_fig9_nas_classB(once):
 def test_nas_class_sweep(once, cls):
     """§4.1.2 text: smaller datasets are short-message dominated and lean
     TCP-wards; verification must hold at every class."""
-    rows = once(fig9_nas, cls)
+    rows = once(run_matrix, "fig9", cls=cls)
     print()
     print(format_table(f"NPB class {cls} Mop/s (8 procs)", rows))
     for row in rows:

@@ -10,11 +10,11 @@ tail drops.  The paper's far larger factors are discussed (and not
 blindly asserted) in EXPERIMENTS.md.
 """
 
-from repro.bench import format_table, table1_pingpong_loss
+from repro.bench import format_table, run_matrix
 
 
 def test_table1_pingpong_loss(once):
-    rows = once(table1_pingpong_loss)
+    rows = once(run_matrix, "table1")
     print()
     print(format_table("Table 1: ping-pong throughput under loss", rows))
     by_cell = {r.label: r.measured["sctp/tcp"] for r in rows}

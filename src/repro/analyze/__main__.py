@@ -18,10 +18,11 @@ Subcommands
     blocking step.  Exits nonzero if either stage reports anything new,
     or if a baseline entry no longer matches any finding (stale).
 
-``perturb EXPERIMENT:CELL [--modes lifo,shuffle:7] [--json FILE]``
-    Schedule-perturbation race detector on one bench cell.  Exits 1 when
-    any perturbed tie-break produces a different metrics digest than the
-    production FIFO order.
+``perturb EXPERIMENT [NAME=VALUE ...] [--modes lifo,shuffle:7] [--json FILE]``
+    Schedule-perturbation race detector on one bench cell, addressed
+    like a sweep cell (``perturb fig8 size=1024``).  Exits 1 when any
+    perturbed tie-break produces a different metrics digest than the
+    production FIFO order, 2 on an unknown experiment or parameter.
 """
 
 from __future__ import annotations

@@ -24,8 +24,10 @@ The model is deliberately static and conservative:
   treat them conservatively at the call site instead.
 
 Fork boundaries are first-class: every ``*.Process(target=...)``
-construction site is recorded as a :class:`ForkSite` so the purity
-analysis knows exactly which functions run inside forked children.
+construction site, and every ``pool_map``/``supervised_map`` fan-out
+call (whose first argument runs in forked children), is recorded as a
+:class:`ForkSite` so the purity analysis knows exactly which functions
+run inside forked children.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 #: ``obj.method()`` on an unknown receiver matches every known method of
 #: that name — but only when the name is rare enough to be meaningful.
 BY_NAME_CAP = 12
+
+#: Process fan-outs whose first positional argument is the child's body.
+FANOUT_CALLS = ("pool_map", "supervised_map")
 
 
 @dataclass(frozen=True)
@@ -103,7 +108,8 @@ class CallEdge:
 
 @dataclass(frozen=True)
 class ForkSite:
-    """One ``Process(target=...)`` construction: a fork boundary."""
+    """A ``Process(target=...)`` construction or a fan-out call: a fork
+    boundary."""
 
     caller: str  # qualname of the function containing the call
     target: Optional[str]  # qualname of the resolved target function
@@ -493,25 +499,26 @@ class CallGraph:
         name = func.attr if isinstance(func, ast.Attribute) else (
             func.id if isinstance(func, ast.Name) else ""
         )
-        if name != "Process":
+        if name == "Process":
+            values = [kw.value for kw in call.keywords if kw.arg == "target"]
+        elif name in FANOUT_CALLS:
+            values = call.args[:1]
+        else:
             return
         target_qual: Optional[str] = None
-        for kw in call.keywords:
-            if kw.arg == "target":
-                resolved = ""
-                if isinstance(kw.value, ast.Name):
-                    resolved = self.program.resolve_name(module, kw.value.id)
-                    if not resolved:
-                        # a function nested in the enclosing caller
-                        nested = f"{info.qualname}.<locals>.{kw.value.id}"
-                        if nested in self.program.functions:
-                            resolved = nested
-                elif isinstance(kw.value, ast.Attribute):
-                    resolved = self.program.resolve_dotted(
-                        module, dotted_name(kw.value)
-                    )
-                if resolved in self.program.functions:
-                    target_qual = resolved
+        for value in values:
+            resolved = ""
+            if isinstance(value, ast.Name):
+                resolved = self.program.resolve_name(module, value.id)
+                if not resolved:
+                    # a function nested in the enclosing caller
+                    nested = f"{info.qualname}.<locals>.{value.id}"
+                    if nested in self.program.functions:
+                        resolved = nested
+            elif isinstance(value, ast.Attribute):
+                resolved = self.program.resolve_dotted(module, dotted_name(value))
+            if resolved in self.program.functions:
+                target_qual = resolved
         self.fork_sites.append(
             ForkSite(
                 caller=info.qualname,

@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 #: Mask bits available for tie-break perturbation.  Sequence numbers are
 #: monotonically increasing ints; 62 bits keeps masked keys well inside
@@ -209,22 +209,40 @@ def perturb_run(
 
 def perturb_cell(
     experiment: str,
-    cell: str,
+    params: Mapping[str, Any],
     modes: Sequence[str] = ("lifo",),
 ) -> PerturbResult:
-    """Perturb one bench-harness experiment cell (e.g. ``fig8`` / ``1024``)."""
-    from ..bench.harness import run_experiment_cell
+    """Perturb one bench-harness cell (e.g. ``fig8``, ``{"size": 1024}``)."""
+    from ..bench.harness import run_sweep_cell
+    from ..sweep.spec import cell_id
 
     def run() -> Any:
-        rows = run_experiment_cell(experiment, cell)
-        return [row.to_jsonable() for row in rows]
+        return [row.to_jsonable() for row in run_sweep_cell(experiment, params)]
 
-    return perturb_run(run, modes=modes, label=f"{experiment}:{cell}")
+    return perturb_run(run, modes=modes, label=cell_id(experiment, params))
+
+
+def _parse_params(pairs: Sequence[str]) -> Dict[str, Any]:
+    """``NAME=VALUE`` words to a params dict; a value is JSON-decoded when
+    it parses as JSON (``1024``, ``0.01``, ``[1,2]``) and kept as a
+    string otherwise (``sctp``, ``on``)."""
+    params: Dict[str, Any] = {}
+    for pair in pairs:
+        name, sep, text = pair.partition("=")
+        if not sep or not name:
+            raise ValueError(f"cell parameter {pair!r} must look like NAME=VALUE")
+        try:
+            params[name] = json.loads(text)
+        except json.JSONDecodeError:
+            params[name] = text
+    return params
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI body for ``python -m repro.analyze perturb`` (returns exit code)."""
     import argparse
+
+    from ..bench.harness import resolve_sweep_params
 
     parser = argparse.ArgumentParser(
         prog="repro-analyze perturb",
@@ -234,9 +252,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "cell",
-        metavar="EXPERIMENT:CELL",
-        help="bench cell to perturb, e.g. fig8:1024 (see repro.bench --list)",
+        "experiment",
+        metavar="EXPERIMENT",
+        help="experiment of the cell, e.g. fig8 or interleave",
+    )
+    parser.add_argument(
+        "params",
+        nargs="*",
+        metavar="NAME=VALUE",
+        help="the cell's axis (and any free) parameters, e.g. size=1024; "
+        "an unknown name lists the experiment's parameters",
     )
     parser.add_argument(
         "--modes",
@@ -251,14 +276,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if ":" not in args.cell:
-        parser.error(f"cell spec {args.cell!r} must look like EXPERIMENT:KEY")
-    experiment, key = args.cell.split(":", 1)
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     for mode in modes:
         parse_mode(mode)  # validate before paying for any simulation
+    try:
+        params = _parse_params(args.params)
+        resolve_sweep_params(args.experiment, params)
+    except (KeyError, ValueError) as err:
+        parser.error(str(err.args[0]))
 
-    result = perturb_cell(experiment, key, modes=modes)
+    result = perturb_cell(args.experiment, params, modes=modes)
     if args.json:
         import sys
         from pathlib import Path

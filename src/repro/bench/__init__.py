@@ -1,6 +1,7 @@
-"""Benchmark harness: one entry point per paper table/figure.
+"""Benchmark harness: the paper's experiments as cell matrices.
 
-Each ``fig*``/``table*`` function runs the relevant simulations and
+``harness.MATRICES`` declares each table/figure as named axes plus free
+parameters; ``run_matrix`` runs an experiment's default matrix and
 returns structured rows; ``format_table`` renders them next to the
 paper's published values so every ``pytest benchmarks/`` run prints a
 paper-vs-measured comparison (recorded in EXPERIMENTS.md).
@@ -8,44 +9,28 @@ paper-vs-measured comparison (recorded in EXPERIMENTS.md).
 
 from .harness import (
     ExperimentRow,
-    chaos_matrix,
-    experiment_cells,
-    fig8_pingpong_noloss,
-    fig9_nas,
-    fig10_farm,
-    fig11_farm_fanout,
-    fig12_hol_blocking,
+    default_cells,
     format_table,
-    interleave_matrix,
     multihoming_failover,
     resolve_sweep_params,
-    run_experiment_cell,
+    run_matrix,
     run_sweep_cell,
     scaled,
     sweep_axis_names,
     sweep_experiments,
     sweep_free_names,
-    table1_pingpong_loss,
 )
 
 __all__ = [
     "ExperimentRow",
-    "chaos_matrix",
-    "experiment_cells",
-    "fig8_pingpong_noloss",
-    "fig9_nas",
-    "fig10_farm",
-    "fig11_farm_fanout",
-    "fig12_hol_blocking",
+    "default_cells",
     "format_table",
-    "interleave_matrix",
     "multihoming_failover",
     "resolve_sweep_params",
-    "run_experiment_cell",
+    "run_matrix",
     "run_sweep_cell",
     "scaled",
     "sweep_axis_names",
     "sweep_experiments",
     "sweep_free_names",
-    "table1_pingpong_loss",
 ]

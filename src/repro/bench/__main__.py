@@ -18,11 +18,12 @@ experiment, the result rows plus one full metrics snapshot per world
 run.  The document contains no wall-clock time and is byte-identical
 across same-seed invocations (CI's determinism gate relies on this).
 
-``--jobs N`` shards every experiment's cell matrix across N worker
-processes (each (protocol, loss, size, fanout) cell is an isolated
-deterministic simulation) and merges results in enumeration order, so
-the output — including ``--metrics-json`` — is byte-identical to a
-serial run (CI's parallel determinism gate relies on *this*).
+``--jobs N`` shards every experiment's default cell matrix across N
+worker processes (each (protocol, loss, size, fanout) cell is an
+isolated deterministic simulation).  Every run, ``--jobs 1`` included,
+goes through the same worker and merges rows in cell enumeration order,
+so the output — including ``--metrics-json`` — is byte-identical at any
+job count (CI's parallel determinism gate relies on *this*).
 
 ``--profile`` wraps the run in :mod:`cProfile` and prints the top 20
 functions by cumulative time, for hot-path hunts without ad-hoc
@@ -37,31 +38,21 @@ import json
 import sys
 import time
 
-from . import (
-    ExperimentRow,
-    chaos_matrix,
-    fig8_pingpong_noloss,
-    fig9_nas,
-    fig10_farm,
-    fig11_farm_fanout,
-    fig12_hol_blocking,
-    format_table,
-    interleave_matrix,
-    multihoming_failover,
-    table1_pingpong_loss,
-)
-from ..metrics import MetricsCollector
+from ..sweep.spec import cell_id
+from .harness import ExperimentRow, default_cells, format_table
+from .parallel import pool_map, run_cell
 
+# name -> title; "all" runs these in this order
 EXPERIMENTS = {
-    "fig8": ("Fig. 8: ping-pong throughput (no loss)", fig8_pingpong_noloss),
-    "table1": ("Table 1: ping-pong throughput under loss", table1_pingpong_loss),
-    "fig9": ("Fig. 9: NPB class B Mop/s (8 procs)", fig9_nas),
-    "fig10": ("Fig. 10: farm run times, fanout=1", fig10_farm),
-    "fig11": ("Fig. 11: farm run times, fanout=10", fig11_farm_fanout),
-    "fig12": ("Fig. 12: 10 streams vs 1 stream (SCTP)", fig12_hol_blocking),
-    "failover": ("Multihoming: primary-path failure mid-run", multihoming_failover),
-    "interleave": ("RFC 8260: small-message latency under bulk", interleave_matrix),
-    "chaos": ("Chaos matrix: fault scenarios x both stacks", chaos_matrix),
+    "fig8": "Fig. 8: ping-pong throughput (no loss)",
+    "table1": "Table 1: ping-pong throughput under loss",
+    "fig9": "Fig. 9: NPB class B Mop/s (8 procs)",
+    "fig10": "Fig. 10: farm run times, fanout=1",
+    "fig11": "Fig. 11: farm run times, fanout=10",
+    "fig12": "Fig. 12: 10 streams vs 1 stream (SCTP)",
+    "failover": "Multihoming: primary-path failure mid-run",
+    "interleave": "RFC 8260: small-message latency under bulk",
+    "chaos": "Chaos matrix: fault scenarios x both stacks",
 }
 
 METRICS_SCHEMA = 1
@@ -101,47 +92,28 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _run_serial(names: list[str], with_metrics: bool, doc: dict) -> None:
-    """The original in-process path (one collector per experiment)."""
-    for name in names:
-        title, fn = EXPERIMENTS[name]
-        started = time.time()  # repro: allow[AN101] — wall display only
-        if with_metrics:
-            with MetricsCollector() as collector:
-                rows = fn()
-            doc["experiments"][name] = {
-                "title": title,
-                "rows": [row.to_jsonable() for row in rows],
-                "runs": collector.runs,
-            }
-        else:
-            rows = fn()
-        print(format_table(title, rows))
-        # wall time goes to stdout only: the JSON must be run-invariant
-        elapsed = time.time() - started  # repro: allow[AN101] — wall display only
-        print(f"  [{name}: {elapsed:.1f}s wall]")
-        print()
-
-
-def _run_parallel(names: list[str], jobs: int, with_metrics: bool, doc: dict) -> None:
-    """Cell-sharded fan-out; merged output matches the serial path."""
-    from .parallel import run_experiments
-
+def _run(names: list[str], jobs: int, with_metrics: bool, doc: dict) -> None:
+    """Run every default-matrix cell of ``names`` and print the tables."""
+    cells = [(name, params) for name in names for params in default_cells(name)]
+    items = [(name, json.dumps(params), with_metrics) for name, params in cells]
     started = time.time()  # repro: allow[AN101] — wall display only
-    merged = run_experiments(names, jobs=jobs, with_metrics=with_metrics)
+    outputs = pool_map(
+        run_cell, items, jobs, task_ids=[cell_id(name, params) for name, params in cells]
+    )
+    # wall time goes to stdout only: the JSON must be run-invariant
     elapsed = time.time() - started  # repro: allow[AN101] — wall display only
+    merged: dict = {name: {"rows": [], "runs": []} for name in names}
+    for (name, _params), (rows, runs) in zip(cells, outputs, strict=True):
+        merged[name]["rows"].extend(rows)
+        merged[name]["runs"].extend(runs)
     for name in names:
-        title, _ = EXPERIMENTS[name]
-        rows = [ExperimentRow.from_jsonable(d) for d in merged[name]["rows"]]
+        title = EXPERIMENTS[name]
         if with_metrics:
-            doc["experiments"][name] = {
-                "title": title,
-                "rows": merged[name]["rows"],
-                "runs": merged[name]["runs"],
-            }
+            doc["experiments"][name] = {"title": title, **merged[name]}
+        rows = [ExperimentRow.from_jsonable(d) for d in merged[name]["rows"]]
         print(format_table(title, rows))
         print()
-    print(f"  [{', '.join(names)}: {elapsed:.1f}s wall across {jobs} jobs]")
+    print(f"  [{', '.join(names)}: {elapsed:.1f}s wall, {jobs} job(s)]")
 
 
 def main(argv: list[str]) -> int:
@@ -152,15 +124,17 @@ def main(argv: list[str]) -> int:
     names = args.experiments or ["all"]
     if names == ["all"]:
         names = list(EXPERIMENTS)
+    names = list(dict.fromkeys(names))  # a repeated name runs once
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:
         print(f"unknown experiment(s): {', '.join(unknown)}")
         print(f"available: {', '.join(EXPERIMENTS)}, all")
         return 2
     if args.metrics_json is not None:
-        # fail before running minutes of experiments, not after
+        # fail before running minutes of experiments, not after; "a"
+        # checks writability without emptying an existing document
         try:
-            with open(args.metrics_json, "w", encoding="utf-8"):
+            with open(args.metrics_json, "a", encoding="utf-8"):
                 pass
         except OSError as err:
             print(f"cannot write metrics JSON to {args.metrics_json}: {err}")
@@ -176,10 +150,7 @@ def main(argv: list[str]) -> int:
     doc = {"schema": METRICS_SCHEMA, "experiments": {}}
     with_metrics = args.metrics_json is not None
     try:
-        if args.jobs > 1:
-            _run_parallel(names, args.jobs, with_metrics, doc)
-        else:
-            _run_serial(names, with_metrics, doc)
+        _run(names, args.jobs, with_metrics, doc)
     finally:
         if profiler is not None:
             import pstats

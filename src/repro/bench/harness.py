@@ -94,7 +94,9 @@ FIG8_SIZES = [1, 1024, 4096, 8192, 16384, 22528, 32768, 65536, 98302, 131069]
 def _fig8_cell(
     size: int, seed: int = 1, iterations: Optional[int] = None
 ) -> List[ExperimentRow]:
-    """One fig8 matrix cell: both protocols at one message size."""
+    """One fig8 matrix cell: both protocols at one message size.
+
+    TCP wins small, SCTP wins large; paper crossover ~22 KiB."""
     iters = iterations or scaled(16, 50)
     tcp = run_pingpong("tcp", size, iterations=iters, seed=seed, limit_ns=LIMIT_NS)
     sctp = run_pingpong("sctp", size, iterations=iters, seed=seed, limit_ns=LIMIT_NS)
@@ -112,15 +114,6 @@ def _fig8_cell(
     ]
 
 
-def fig8_pingpong_noloss(seed: int = 1, iterations: Optional[int] = None) -> List[ExperimentRow]:
-    """TCP wins small, SCTP wins large; paper crossover ~22 KiB."""
-    return [
-        row
-        for size in FIG8_SIZES
-        for row in _fig8_cell(size, seed=seed, iterations=iterations)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Table 1 — ping-pong under loss
 # ---------------------------------------------------------------------------
@@ -133,7 +126,13 @@ TABLE1_PAPER = {
 
 
 def _table1_cell(size: int, loss: float, seeds=(1, 2, 3, 4, 5)) -> List[ExperimentRow]:
-    """One Table-1 cell: both protocols at one (size, loss), seed-averaged."""
+    """One Table-1 cell: both protocols at one (size, loss), seed-averaged.
+
+    Individual runs are dominated by whether a tail-drop timeout (with
+    backoff) lands in the measured window, hence the seed average.  Our
+    measured factors (~1-2x) are far below the paper's (3-43x);
+    EXPERIMENTS.md discusses why faithful SACK recovery on both stacks
+    narrows the gap the paper observed."""
     iters = scaled(50, 100) if size <= 64 * 1024 else scaled(16, 40)
     tcp_bps = sctp_bps = 0.0
     for seed in seeds:
@@ -166,22 +165,6 @@ def _table1_cell(size: int, loss: float, seeds=(1, 2, 3, 4, 5)) -> List[Experime
     ]
 
 
-def table1_pingpong_loss(seeds=(1, 2, 3, 4, 5)) -> List[ExperimentRow]:
-    """SCTP ahead of TCP under loss, both message sizes.
-
-    Individual runs are dominated by whether a tail-drop timeout (with
-    backoff) lands in the measured window, so each cell averages several
-    seeds.  Our measured factors (~1-2x) are far below the paper's
-    (3-43x); EXPERIMENTS.md discusses why faithful SACK recovery on both
-    stacks narrows the gap the paper observed."""
-    return [
-        row
-        for size in (30 * 1024, 300 * 1024)
-        for loss in (0.01, 0.02)
-        for row in _table1_cell(size, loss, seeds=seeds)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Fig. 9 — NAS parallel benchmarks, class B, Mop/s
 # ---------------------------------------------------------------------------
@@ -207,13 +190,6 @@ def _fig9_cell(name: str, cls: str = "B", seed: int = 1) -> List[ExperimentRow]:
                 else "comparable"
             },
         )
-    ]
-
-
-def fig9_nas(cls: str = "B", seed: int = 1) -> List[ExperimentRow]:
-    """SCTP comparable to TCP overall; TCP ahead on MG and BT."""
-    return [
-        row for name in FIG9_ORDER for row in _fig9_cell(name, cls=cls, seed=seed)
     ]
 
 
@@ -279,25 +255,6 @@ def _farm_cell(
     ]
 
 
-def _farm_rows(fanout: int, paper: Dict, seed: int) -> List[ExperimentRow]:
-    return [
-        row
-        for size_label in ("short", "long")
-        for loss in (0.00, 0.01, 0.02)
-        for row in _farm_cell(fanout, size_label, loss, seed=seed)
-    ]
-
-
-def fig10_farm(seed: int = 1) -> List[ExperimentRow]:
-    """Fanout=1: SCTP ~10x faster (short, loss), ~2.6x (long, loss)."""
-    return _farm_rows(1, FIG10_PAPER, seed)
-
-
-def fig11_farm_fanout(seed: int = 1) -> List[ExperimentRow]:
-    """Fanout=10: TCP degrades further, especially for long messages."""
-    return _farm_rows(10, FIG11_PAPER, seed)
-
-
 # ---------------------------------------------------------------------------
 # Fig. 12 — head-of-line blocking: 10-stream vs 1-stream SCTP
 # ---------------------------------------------------------------------------
@@ -312,7 +269,11 @@ FIG12_PAPER = {  # (size_label, loss) -> (streams10_s, stream1_s)
 
 
 def _fig12_cell(size_label: str, loss: float, seeds=(1, 2, 3)) -> List[ExperimentRow]:
-    """One fig12 cell: 10-stream vs 1-stream SCTP at one (size, loss)."""
+    """One fig12 cell: 10-stream vs 1-stream SCTP at one (size, loss).
+
+    Run times at demo scale are dominated by a handful of retransmission
+    timeouts, so lossy cells average several seeds (the paper averaged
+    six runs of 10,000 tasks for the same reason — §4.2.1)."""
     params = _farm_params(size_label, fanout=10)
     multi_s = single_s = 0.0
     use_seeds = seeds if loss > 0 else seeds[:1]
@@ -343,20 +304,6 @@ def _fig12_cell(size_label: str, loss: float, seeds=(1, 2, 3)) -> List[Experimen
             },
             note=f"mean of {len(use_seeds)} seeds",
         )
-    ]
-
-
-def fig12_hol_blocking(seeds=(1, 2, 3)) -> List[ExperimentRow]:
-    """The multistreaming ablation: 1 stream re-introduces HOL blocking.
-
-    Run times at demo scale are dominated by a handful of retransmission
-    timeouts, so each cell averages several seeds (the paper averaged six
-    runs of 10,000 tasks for the same reason — §4.2.1)."""
-    return [
-        row
-        for size_label in ("short", "long")
-        for loss in (0.00, 0.01, 0.02)
-        for row in _fig12_cell(size_label, loss, seeds=seeds)
     ]
 
 
@@ -450,6 +397,11 @@ def _chaos_cell(rpi: str, seed: int = 1) -> List[ExperimentRow]:
     """One chaos-matrix shard: the fault-free baseline plus every
     scenario for one stack.
 
+    Per scenario: run time vs the fault-free baseline of the same seed
+    (goodput degradation), the longest data-delivery stall the
+    application felt, time-to-recovery after the fault hit, and the
+    transport counters that explain *how* the stack coped (RTO backoff
+    and SACK fast retransmit, SCTP path failover, integrity drops).
     The baseline run lives *inside* the shard (its elapsed time
     normalises every scenario row), so shards are fully independent —
     the property the parallel fan-out relies on.
@@ -501,43 +453,6 @@ def _chaos_cell(rpi: str, seed: int = 1) -> List[ExperimentRow]:
                 note=f"baseline {base_s:.3g}s",
             )
         )
-    return rows
-
-
-def chaos_matrix(seed: int = 1, jobs: int = 1) -> List[ExperimentRow]:
-    """Run every canonical fault scenario against both stacks.
-
-    Per cell: run time vs a fault-free baseline of the same seed
-    (goodput degradation), the longest data-delivery stall the
-    application felt, time-to-recovery after the fault hit, and the
-    transport counters that explain *how* the stack coped (RTO backoff
-    and SACK fast retransmit, SCTP path failover, integrity drops).
-
-    ``jobs > 1`` shards the per-stack cells across worker processes via
-    :mod:`repro.bench.parallel`; the rows are identical to a serial run.
-    """
-    if jobs > 1:
-        if seed != 1:
-            raise ValueError("parallel chaos_matrix supports the default seed only")
-        from .parallel import run_experiments
-
-        merged = run_experiments(["chaos"], jobs=jobs)
-        return [ExperimentRow.from_jsonable(d) for d in merged["chaos"]["rows"]]
-    return _chaos_cell("tcp", seed) + _chaos_cell("sctp", seed)
-
-
-def interleave_matrix() -> List[ExperimentRow]:
-    """Small-message latency under concurrent bulk, RFC 8260 on/off.
-
-    Runs the default ``interleave`` cell matrix (SCTP only; the TCP
-    baseline and the wfq/prio schedulers are addressable via
-    ``repro.sweep`` — see ``benchmarks/sweep_interleave.json``).  The
-    serial order matches the cell enumeration, so a ``--jobs`` sharded
-    run merges to byte-identical output.
-    """
-    rows: List[ExperimentRow] = []
-    for key in experiment_cells("interleave"):
-        rows.extend(run_experiment_cell("interleave", key))
     return rows
 
 
@@ -725,19 +640,10 @@ def _interleave_cell(
 # isolated).  The registry below makes that matrix *structured*: each
 # experiment declares named axes (with a default enumeration and optional
 # closed choice sets) plus overridable free parameters, and a runner
-# taking one keyword argument per axis/free name.
-#
-# Two addressing schemes derive from it:
-#
-# * legacy key strings (``experiment_cells`` / ``run_experiment_cell``):
-#   the colon-joined default axis product, unchanged from before this
-#   registry existed — ``repro.bench.parallel`` shards on these, and a
-#   sharded run merged in enumeration order reproduces the serial output
-#   byte for byte;
-# * parameter mappings (``resolve_sweep_params`` / ``run_sweep_cell``):
-#   ``repro.sweep`` addresses any cell — including off-enumeration points
-#   like ``loss=0.05`` or a fault-scenario axis — as a validated dict,
-#   which is also what its content digests are computed over.
+# taking one keyword argument per axis/free name.  A cell is addressed as
+# (experiment, parameter dict) — ``repro.bench``, ``repro.sweep`` and
+# ``repro.analyze perturb`` alike — and ``default_cells`` enumerates the
+# matrix each paper figure runs.
 
 
 @dataclass(frozen=True)
@@ -745,7 +651,7 @@ class Axis:
     """One named dimension of an experiment's cell matrix."""
 
     name: str
-    values: Tuple[Any, ...]  # default enumeration (legacy key product)
+    values: Tuple[Any, ...]  # default enumeration (see default_cells)
     coerce: Callable[[Any], Any]
     choices: Optional[Tuple[Any, ...]] = None  # legal set; None = open axis
 
@@ -885,7 +791,9 @@ def _matrix(name: str) -> ExperimentMatrix:
     try:
         return MATRICES[name]
     except KeyError:
-        raise KeyError(f"unknown experiment: {name!r}") from None
+        raise KeyError(
+            f"unknown experiment: {name!r} (known: {', '.join(MATRICES)})"
+        ) from None
 
 
 def sweep_experiments() -> List[str]:
@@ -952,22 +860,27 @@ def run_sweep_cell(name: str, params: Mapping[str, Any]) -> List[ExperimentRow]:
     return _matrix(name).run(**resolved)
 
 
-def experiment_cells(name: str) -> List[str]:
-    """Stable, ordered cell keys of one experiment's default matrix."""
-    matrix = _matrix(name)
+def default_cells(name: str, **fixed: Any) -> List[Dict[str, Any]]:
+    """One experiment's default matrix as parameter dicts.
+
+    The product of every axis's ``values`` (last axis fastest), each
+    point with the ``fixed`` free parameters merged in.  This order is
+    frozen: ``repro.bench`` merges rows and metrics snapshots in it, so
+    the metrics JSON bytes depend on it.
+    """
+    axes = _matrix(name).axes
+    names = [axis.name for axis in axes]
+    clash = sorted(set(fixed) & set(names))
+    if clash:
+        raise ValueError(f"{name!r} enumerates axis {', '.join(clash)}; it cannot be fixed")
     return [
-        ":".join(str(value) for value in combo)
-        for combo in itertools.product(*(axis.values for axis in matrix.axes))
+        {**dict(zip(names, combo, strict=True)), **fixed}
+        for combo in itertools.product(*(axis.values for axis in axes))
     ]
 
 
-def run_experiment_cell(name: str, key: str) -> List[ExperimentRow]:
-    """Run one default-matrix cell (at the scale/seeds the CLI uses)."""
-    matrix = _matrix(name)
-    if key not in experiment_cells(name):
-        raise KeyError(f"unknown cell {key!r} for experiment {name!r}")
-    parts = key.split(":")
-    params = {
-        axis.name: axis.coerce(part) for axis, part in zip(matrix.axes, parts)
-    }
-    return matrix.run(**params)
+def run_matrix(name: str, **fixed: Any) -> List[ExperimentRow]:
+    """Run one experiment's default matrix in-process, rows in cell order."""
+    return [
+        row for params in default_cells(name, **fixed) for row in run_sweep_cell(name, params)
+    ]

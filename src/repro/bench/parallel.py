@@ -1,20 +1,22 @@
-"""Parallel bench fan-out: shard the experiment matrix across processes.
+"""Process fan-out for experiment cells: one worker, one map.
 
-Every experiment in :mod:`repro.bench.harness` decomposes into
-independent deterministic cells (``experiment_cells`` /
-``run_experiment_cell``) — the simulated property the paper's Dummynet
-testbed had physically: each (seed, scenario) run is isolated, so runs
-can execute anywhere in any order.  This module exploits that with
-supervised child processes (:mod:`repro.supervise`):
+Every experiment in :mod:`repro.bench.harness` is a matrix of
+independent deterministic cells addressed as ``(experiment, params)``
+— the simulated property the paper's Dummynet testbed had physically:
+each (seed, scenario) run is isolated, so runs can execute anywhere in
+any order.  ``python -m repro.bench`` and :mod:`repro.sweep` both fan
+cells out through this module with supervised child processes
+(:mod:`repro.supervise`):
 
-* each worker process runs one cell to completion, under its own
+* :func:`run_cell` runs one cell to completion, under its own
   :class:`~repro.metrics.MetricsCollector` when metrics are requested;
-* the parent merges per-cell rows and metrics snapshots **in cell
-  enumeration order** (``supervised_map`` preserves input order), never
-  in completion order;
+* :func:`pool_map` returns results **in input order**
+  (``supervised_map`` preserves it), never in completion order, so a
+  caller that enumerates cells in a fixed order merges to the same
+  bytes at any job count;
 * virtual-time results and metrics snapshots contain no wall-clock
-  values, so the merged document is byte-identical to the serial
-  runner's — CI diffs the two to gate ``--jobs`` determinism;
+  values, so the merged document is byte-identical whatever ``jobs``
+  was — CI diffs serial against ``--jobs 4`` to gate this;
 * a worker that crashes outright (``os._exit``, a signal) no longer
   hangs or poisons the whole fan-out: the supervisor reports *which*
   cell died and with what exit code, and callers that opt into a retry
@@ -23,13 +25,14 @@ supervised child processes (:mod:`repro.supervise`):
 
 Workers inherit the parent's environment (``REPRO_FULL`` scale
 switching works unchanged).  The ``fork`` start method is preferred
-(cheap, no re-import); ``spawn`` platforms work too since cells are
-addressed by plain ``(experiment, key)`` strings — no callables ever
-cross the process boundary.
+(cheap, no re-import); ``spawn`` platforms work too since a cell
+crosses the process boundary as plain ``(experiment, params-JSON)``
+strings — no callables.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..metrics import MetricsCollector
@@ -48,23 +51,25 @@ class CellError(RuntimeError):
     """A bench/sweep cell failed; carries the cell identity and params."""
 
 
-def _run_cell(item: Tuple[str, str, bool]) -> CellResult:
-    """Worker body: run one (experiment, key) cell, return plain data."""
-    name, key, with_metrics = item
+def run_cell(item: Tuple[str, str, bool]) -> CellResult:
+    """Worker body: run one ``(experiment, params-JSON, with_metrics)``
+    cell and return its rows and metrics snapshots as plain data."""
+    experiment, params_json, with_metrics = item
+    params = json.loads(params_json)
+    runs: List[Dict[str, Any]] = []
     try:
         if with_metrics:
             with MetricsCollector() as collector:
-                rows = harness.run_experiment_cell(name, key)
+                rows = harness.run_sweep_cell(experiment, params)
             runs = collector.runs
         else:
-            rows = harness.run_experiment_cell(name, key)
-            runs = []
+            rows = harness.run_sweep_cell(experiment, params)
     except Exception as exc:
+        from ..sweep.spec import cell_id  # lazy: repro.sweep imports this module
+
         # keep the failing cell's identity in the parent traceback
         # instead of a bare multiprocessing stack
-        raise CellError(
-            f"bench cell {name}:{key} failed: {exc!r}"
-        ) from exc
+        raise CellError(f"cell {cell_id(experiment, params)} failed: {exc!r}") from exc
     return [row.to_jsonable() for row in rows], runs
 
 
@@ -76,8 +81,8 @@ def pool_map(
 ) -> List:
     """Order-preserving supervised process map under a concurrency cap.
 
-    The shared fan-out primitive: ``run_experiments`` shards legacy
-    experiment cells with it and :mod:`repro.sweep` shards dirty sweep
+    The one fan-out primitive: ``python -m repro.bench`` shards default
+    matrix cells with it and :mod:`repro.sweep` shards dirty sweep
     cells with it.  ``jobs <= 1`` runs in-process; results always come
     back in *input* order (never completion order), which is what makes
     every merged document byte-identical to its serial counterpart.
@@ -105,33 +110,3 @@ def pool_map(
             f"({len(outcome.quarantined)} of {len(items)} tasks lost): {detail}"
         )
     return outcome.results
-
-
-def run_experiments(
-    names: Sequence[str],
-    jobs: int = 1,
-    with_metrics: bool = False,
-) -> Dict[str, Dict[str, List[Dict[str, Any]]]]:
-    """Run experiments cell-sharded over ``jobs`` worker processes.
-
-    Returns ``{experiment: {"rows": [...], "runs": [...]}}`` with rows
-    and metrics snapshots already in plain-JSON form, merged in
-    deterministic enumeration order.  ``jobs <= 1`` runs the same cell
-    decomposition in-process (useful for tests and as the degenerate
-    case of ``--jobs 1``).
-    """
-    items = [
-        (name, key, with_metrics)
-        for name in names
-        for key in harness.experiment_cells(name)
-    ]
-    outputs = pool_map(
-        _run_cell, items, jobs, task_ids=[f"{name}:{key}" for name, key, _ in items]
-    )
-    merged: Dict[str, Dict[str, List[Dict[str, Any]]]] = {
-        name: {"rows": [], "runs": []} for name in names
-    }
-    for (name, _key, _), (rows, runs) in zip(items, outputs, strict=True):
-        merged[name]["rows"].extend(rows)
-        merged[name]["runs"].extend(runs)
-    return merged

@@ -15,8 +15,9 @@ Three layers:
   (exit code), hang detection (heartbeat pipe), bounded retry with
   seeded deterministic exponential backoff, and quarantine of
   persistently failing tasks into a structured failure manifest.
-  ``repro.bench.parallel.pool_map`` and ``repro.sweep`` fan out
-  through it.
+  ``repro.bench.parallel.pool_map`` — the one cell fan-out of
+  ``python -m repro.bench`` and ``repro.sweep`` — and supervised sweeps
+  run through it.
 * shard supervision in :mod:`repro.simkernel.pdes` — a dead or stalled
   PDES shard triggers terminate-and-reap of the whole cohort and a
   graceful degradation to the serial leg (``degraded: true``), whose

@@ -99,6 +99,26 @@ def test_fork_site_with_local_target_function():
     assert site.caller == "app.work.launch"
 
 
+def test_fanout_call_marks_its_first_argument_as_a_fork_target():
+    p = program(
+        work=(
+            "from app.pool import pool_map\n"
+            "def _cell(item):\n"
+            "    return item\n"
+            "def run(items):\n"
+            "    return pool_map(_cell, items, 2)\n"
+        ),
+        pool=(
+            "def pool_map(fn, items, jobs):\n"
+            "    return [fn(item) for item in items]\n"
+        ),
+    )
+    graph = CallGraph.build(p)
+    [site] = graph.fork_sites
+    assert site.target == "app.work._cell"
+    assert site.caller == "app.work.run"
+
+
 def test_reachability_descends_nested_defs_and_reports_chain():
     p = program(
         work=(
@@ -123,3 +143,4 @@ def test_real_tree_loads_and_finds_the_fork_boundaries():
     targets = {s.target for s in graph.fork_sites}
     assert "repro.simkernel.pdes._worker_main" in targets
     assert "repro.supervise.executor._child_main" in targets
+    assert "repro.bench.parallel.run_cell" in targets

@@ -1,5 +1,7 @@
 """Schedule-perturbation race detector: masks, digests, planted races."""
 
+import json
+
 import pytest
 
 from repro.analyze.perturb import (
@@ -203,3 +205,34 @@ def test_cli_rejects_bad_specs(capsys):
         main(["fig8"])  # missing :CELL
     with pytest.raises(ValueError):
         main(["fig8:1024", "--modes", "coinflip"])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fig8:999"], "unknown experiment: 'fig8:999'"),
+        (["nope", "size=1"], "unknown experiment: 'nope'"),
+        (["fig8", "bogus=1"], "axes: size; free: seed, iterations"),
+        (["fig8", "size"], "must look like NAME=VALUE"),
+    ],
+)
+def test_cli_bad_cell_address_exits_2_with_the_registry_message(argv, message, capsys):
+    from repro.analyze.perturb import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_cli_addresses_a_cell_by_name_value_pairs(capsys):
+    """Values decode as JSON when they parse (size=1024 -> int) and stay
+    strings otherwise; the report names the cell by its sweep cell id."""
+    from repro.analyze.perturb import main
+
+    assert main(["fig8", "size=1024", "iterations=2", "--json", "-"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["label"] == "fig8[size=1024,iterations=2]"
+    assert report["deterministic"]

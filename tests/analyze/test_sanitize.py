@@ -351,11 +351,11 @@ def test_option_b_non_interleaving():
 # ---------------------------------------------------------------------------
 def run_fig8_cell_digest():
     from repro.analyze.perturb import digest_payload, filter_schedule_sensitive
-    from repro.bench.harness import run_experiment_cell
+    from repro.bench.harness import run_sweep_cell
     from repro.metrics import MetricsCollector
 
     with MetricsCollector() as collector:
-        rows = [row.to_jsonable() for row in run_experiment_cell("fig8", "1024")]
+        rows = [row.to_jsonable() for row in run_sweep_cell("fig8", {"size": 1024})]
     runs = [
         {"label": run["label"], "metrics": filter_schedule_sensitive(run["metrics"])}
         for run in collector.runs

@@ -2,8 +2,11 @@
 
 import json
 
-from repro.bench import ExperimentRow
+import pytest
+
+from repro.bench import ExperimentRow, harness
 from repro.bench import __main__ as bench_main
+from repro.bench.parallel import CellError
 from repro.core.world import run_app
 from repro.metrics import MetricsCollector
 
@@ -27,6 +30,15 @@ def _tiny_experiment(seed: int = 5):
     ]
 
 
+def _register(monkeypatch, name, title, run):
+    """Add a one-cell experiment to the registry and the CLI."""
+    matrix = harness.ExperimentMatrix(
+        name, (harness.Axis("variant", ("default",), str),), run
+    )
+    monkeypatch.setitem(harness.MATRICES, name, matrix)
+    monkeypatch.setitem(bench_main.EXPERIMENTS, name, title)
+
+
 def test_same_seed_runs_serialise_byte_identically():
     def one():
         with MetricsCollector() as col:
@@ -46,9 +58,7 @@ def test_row_to_jsonable_round_trips():
 
 def test_cli_writes_metrics_json(tmp_path, monkeypatch, capsys):
     out = tmp_path / "m.json"
-    monkeypatch.setitem(
-        bench_main.EXPERIMENTS, "tiny", ("Tiny exchange", _tiny_experiment)
-    )
+    _register(monkeypatch, "tiny", "Tiny exchange", lambda variant: _tiny_experiment())
     rc = bench_main.main(["tiny", "--metrics-json", str(out)])
     assert rc == 0
     doc = json.loads(out.read_text())
@@ -66,11 +76,24 @@ def test_cli_writes_metrics_json(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_without_flag_collects_nothing(monkeypatch):
-    monkeypatch.setitem(
-        bench_main.EXPERIMENTS, "tiny", ("Tiny exchange", _tiny_experiment)
-    )
+    _register(monkeypatch, "tiny", "Tiny exchange", lambda variant: _tiny_experiment())
     assert bench_main.main(["tiny"]) == 0
 
 
 def test_cli_rejects_unknown_experiment():
     assert bench_main.main(["nonesuch"]) == 2
+
+
+def test_failed_run_leaves_an_existing_metrics_json_untouched(tmp_path, monkeypatch):
+    """The writability pre-check must not truncate: a run that raises
+    leaves the previous document's bytes as they were."""
+    out = tmp_path / "m.json"
+    out.write_bytes(b'{"x":1}')
+
+    def boom(variant):
+        raise RuntimeError("cell exploded")
+
+    _register(monkeypatch, "boom", "Boom", boom)
+    with pytest.raises(CellError, match="boom"):
+        bench_main.main(["boom", "--metrics-json", str(out)])
+    assert out.read_bytes() == b'{"x":1}'

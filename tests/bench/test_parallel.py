@@ -1,4 +1,4 @@
-"""Parallel bench fan-out: cell decomposition and serial/parallel parity.
+"""Cell fan-out: one worker, and serial/parallel parity.
 
 The CI gate diffs full serial vs ``--jobs 4`` metrics documents byte for
 byte; these tests cover the same contract at unit scale so a parity
@@ -9,51 +9,49 @@ import json
 
 import pytest
 
+from repro.bench import __main__ as bench_main
 from repro.bench import harness, multihoming_failover
-from repro.bench.parallel import run_experiments
-
-
-def test_experiment_cells_are_stable_and_ordered():
-    first = harness.experiment_cells("fig8")
-    second = harness.experiment_cells("fig8")
-    assert first and first == second
-    assert all(isinstance(key, str) for key in first)
-    assert len(set(first)) == len(first)
 
 
 def test_unknown_experiment_and_cell_raise():
     with pytest.raises(KeyError):
-        harness.experiment_cells("nope")
+        harness.default_cells("nope")
     with pytest.raises(KeyError):
-        harness.run_experiment_cell("nope", "1")
-    with pytest.raises(KeyError):
-        harness.run_experiment_cell("fig8", "no-such-cell")
+        harness.run_sweep_cell("nope", {"size": 1})
+    with pytest.raises(ValueError):
+        harness.run_sweep_cell("fig8", {"size": "no-such-cell"})
 
 
 def test_cell_union_matches_full_experiment():
     """Running an experiment cell-by-cell reproduces the monolithic run."""
-    merged = run_experiments(["failover"], jobs=1)
+    merged = [row.to_jsonable() for row in harness.run_matrix("failover")]
     direct = [row.to_jsonable() for row in multihoming_failover()]
-    assert merged["failover"]["rows"] == direct
+    assert merged == direct
 
 
-def test_parallel_matches_serial_including_metrics():
+def test_parallel_matches_serial_including_metrics(tmp_path, capsys):
     """jobs=2 fan-out merges to the exact serial document (cell order,
-    rows, and metrics snapshots)."""
-    serial = run_experiments(["fig8"], jobs=1, with_metrics=True)
-    parallel = run_experiments(["fig8"], jobs=2, with_metrics=True)
-    assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
-    assert serial["fig8"]["rows"]  # non-vacuous
-    assert serial["fig8"]["runs"]
+    rows, and metrics snapshots) and prints the same tables."""
+    docs, tables = [], []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.json"
+        assert bench_main.main(["fig8", "--jobs", jobs, "--metrics-json", str(out)]) == 0
+        docs.append(out.read_bytes())
+        tables.append(capsys.readouterr().out.split("  [")[0])
+    assert docs[0] == docs[1]
+    assert tables[0] == tables[1]
+    fig8 = json.loads(docs[0])["experiments"]["fig8"]
+    assert len(fig8["rows"]) == len(harness.default_cells("fig8"))  # non-vacuous
+    assert fig8["runs"]
 
 
 def test_worker_exception_names_the_failing_cell():
     """A failing cell's identity and the original exception survive into
     the parent-side error instead of a bare multiprocessing traceback."""
-    from repro.bench.parallel import _run_cell, CellError
+    from repro.bench.parallel import CellError, run_cell
 
-    with pytest.raises(CellError, match=r"fig8:no-such-cell"):
-        _run_cell(("fig8", "no-such-cell", False))
+    with pytest.raises(CellError, match=r"fig8\[size=no-such-cell\]"):
+        run_cell(("fig8", json.dumps({"size": "no-such-cell"}), False))
 
 
 def test_parallel_worker_crash_is_attributed():

@@ -1,41 +1,68 @@
-"""The refactored harness cell registry: legacy key addressing must be
-bit-compatible with before, and sweep (param-dict) addressing must hit
-the same runners."""
+"""The harness cell registry: the default enumeration order is frozen,
+and ``repro.bench`` and ``repro.sweep`` run the same cells."""
+
+import json
 
 import pytest
 
+from repro.bench import __main__ as bench_main
 from repro.bench import harness
 
 
-def test_legacy_cell_keys_unchanged():
-    """The key strings repro.bench.parallel shards on are frozen."""
-    assert harness.experiment_cells("fig8")[:3] == ["1", "1024", "4096"]
-    assert harness.experiment_cells("table1") == [
-        "30720:0.01", "30720:0.02", "307200:0.01", "307200:0.02",
+def test_default_cell_order_is_frozen():
+    """repro.bench merges rows and metrics snapshots in this order, so the
+    metrics JSON bytes depend on it."""
+    assert harness.default_cells("fig8")[:3] == [{"size": 1}, {"size": 1024}, {"size": 4096}]
+    assert harness.default_cells("table1") == [
+        {"size": 30720, "loss": 0.01},
+        {"size": 30720, "loss": 0.02},
+        {"size": 307200, "loss": 0.01},
+        {"size": 307200, "loss": 0.02},
     ]
-    assert harness.experiment_cells("fig10") == [
-        "short:0.0", "short:0.01", "short:0.02",
-        "long:0.0", "long:0.01", "long:0.02",
+    assert harness.default_cells("fig10") == [
+        {"size_label": label, "loss": loss}
+        for label in ("short", "long")
+        for loss in (0.0, 0.01, 0.02)
     ]
-    assert harness.experiment_cells("fig9") == list(harness.FIG9_ORDER)
-    assert harness.experiment_cells("failover") == ["default"]
-    assert harness.experiment_cells("chaos") == ["tcp", "sctp"]
+    assert harness.default_cells("fig9") == [{"kernel": k} for k in harness.FIG9_ORDER]
+    assert harness.default_cells("failover") == [{"variant": "default"}]
+    assert harness.default_cells("chaos") == [{"rpi": "tcp"}, {"rpi": "sctp"}]
+    assert harness.default_cells("interleave") == [
+        {"protocol": "sctp", "interleaving": flag, "scheduler": sched}
+        for flag in ("off", "on")
+        for sched in ("fcfs", "rr")
+    ]
+
+
+def test_default_cells_merge_fixed_free_params():
+    assert harness.default_cells("fig9", cls="S")[0] == {"kernel": "LU", "cls": "S"}
+    with pytest.raises(ValueError, match="enumerates axis size"):
+        harness.default_cells("fig8", size=1024)
 
 
 def test_every_experiment_is_sweep_addressable():
     for name in harness.sweep_experiments():
         axes = harness.sweep_axis_names(name)
         assert axes, name
-        assert harness.experiment_cells(name), name
+        assert harness.default_cells(name), name
 
 
-def test_sweep_and_legacy_addressing_run_the_same_cell():
-    legacy = [row.to_jsonable() for row in harness.run_experiment_cell("fig8", "1024")]
-    swept = [
-        row.to_jsonable()
-        for row in harness.run_sweep_cell("fig8", {"size": 1024})
-    ]
-    assert legacy == swept
+def test_bench_rows_equal_a_sweep_of_the_default_axes(tmp_path):
+    """python -m repro.bench and repro.sweep run the same cells: a spec
+    whose matrix is an experiment's default axes reproduces its rows."""
+    from repro.sweep import run_sweep, spec_from_dict
+
+    out = tmp_path / "m.json"
+    assert bench_main.main(["interleave", "--metrics-json", str(out)]) == 0
+    bench_rows = json.loads(out.read_text())["experiments"]["interleave"]["rows"]
+    matrix = {
+        axis.name: list(axis.values) for axis in harness.MATRICES["interleave"].axes
+    }
+    spec = spec_from_dict(
+        {"name": "interleave", "sweeps": [{"experiment": "interleave", "matrix": matrix}]}
+    )
+    doc = run_sweep(spec).doc
+    assert [row for cell in doc["cells"] for row in cell["rows"]] == bench_rows
 
 
 def test_resolve_fills_defaults_in_axis_then_free_order():
