@@ -12,7 +12,7 @@ compaction, slotted packet/chunk objects) against silent regression:
 * ``fig8_cell``       — wall seconds for one end-to-end fig8 matrix cell
                         (both protocols, 16 KiB ping-pong)
 * ``large_world``     — events/sec on a 16-rank, 4-pod halo-exchange
-                        world (the PDES-shardable topology, run serially)
+                        world (multi-hop switching across pod trunks)
 
 Run standalone (pytest never collects this file; it has no test_*
 functions)::
@@ -145,9 +145,9 @@ def bench_fig8_cell(size: int = 16384, iterations: int = 8):
 
 def bench_large_world(n_procs: int = 16, pods: int = 4, size: int = 4096, iterations: int = 3):
     """A large pod-structured world: 16-rank halo exchange across 4 pod
-    switches and their trunk mesh, run serially.  This is the exact world
-    shape the sharded runner (``repro.bench.pdes``) partitions, so the
-    score is the single-process floor a parallel run has to beat.
+    switches and their trunk mesh.  Every host is busy every iteration,
+    so the score covers multi-hop switching and world construction that
+    the 2-rank cells never reach.
     """
     start = time.perf_counter()
     world = World(WorldConfig(n_procs=n_procs, rpi="sctp", seed=1, n_pods=pods))

@@ -20,8 +20,9 @@ is fine (that is what the lint's ``allow`` comments assert), but the
 same value laundered into a packet field breaks byte-determinism.
 
 **Fork purity (AN301-AN304).**  Functions reachable from fork
-boundaries (``Process(target=...)`` sites — the PDES shard workers and
-``repro.supervise`` child entries) must not mutate state that would
+boundaries (``Process(target=...)`` sites and ``pool_map``/
+``supervised_map`` fan-out calls — the ``repro.supervise`` child entry
+and the cell worker it runs) must not mutate state that would
 diverge between the serial and forked executions: module-global
 rebinding or container mutation (AN301), closure-captured state
 (AN302), process-wide signal handlers (AN303), and unpicklable
@@ -823,7 +824,7 @@ class FlowAnalysis:
                                 "AN301", stmt.lineno, name_node.id,
                                 f"rebinds module global {name_node.id!r}; the "
                                 "write is invisible to the parent and to "
-                                "sibling shards",
+                                "sibling workers",
                             )
                         elif name_node.id in nonlocal_decls:
                             emit(

@@ -32,8 +32,8 @@ class WorldConfig:
     seed: int = 0
     loss_rate: float = 0.0
     n_paths: int = 1
-    # datacenter-style pod topology (1 = the paper's flat single switch);
-    # pods are also the sharding unit for parallel DES (repro.simkernel.pdes)
+    # pod topology (1 = the paper's flat single switch); simbench's pods
+    # workload spreads 16 ranks over 4 pod switches joined by trunks
     n_pods: int = 1
     bandwidth_bps: int = GBIT_PER_S
     prop_delay_ns: int = 5 * MICROSECOND
@@ -175,21 +175,12 @@ class World:
         proc.rpi.finalize()
         return result
 
-    def spawn_ranks(self, app: Callable, args: tuple, ranks: List[int]) -> List[Any]:
-        """Start the per-rank mains for a subset of ranks (PDES sharding).
-
-        The returned tasks are in ``ranks`` order.  The world is built in
-        full either way — every shard holds identical replicas of every
-        host/endpoint — but only the ranks a shard *owns* actually run.
-        """
-        return [
-            self.kernel.spawn(self._main(rank, app, args), name=f"rank{rank}")
-            for rank in ranks
-        ]
-
     def run(self, app: Callable, *args: Any, limit_ns: Optional[int] = None) -> WorldResult:
         """Run ``app(comm, *args)`` on every rank to completion."""
-        tasks = self.spawn_ranks(app, args, list(range(self.config.n_procs)))
+        tasks = [
+            self.kernel.spawn(self._main(rank, app, args), name=f"rank{rank}")
+            for rank in range(self.config.n_procs)
+        ]
         done = wait_all(tasks)
         results = self.kernel.run_until(done, limit=limit_ns)
         last_app_done = max(self._app_done_ns.values())

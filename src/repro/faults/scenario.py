@@ -150,17 +150,28 @@ class ArmedScenario:
         self.kernel = kernel
         self.impairments: List[Tuple[str, Impairment]] = []  # (pipe key, imp)
         self.active = 0
-        self._timers: List = []
+        # per window, its [start, end] handles that have not fired yet
+        self._pending: List[List] = []
         self._scope = kernel.metrics.scope(f"faults.{scenario.name}")
         self._scope.probe("active", lambda: self.active)
         self._scope.probe("impairments_armed", lambda: len(self.impairments))
 
     def _schedule(self, t_start_ns: int, t_end_ns: Optional[int], on, off) -> None:
-        start, end = self.kernel.call_window(t_start_ns, t_end_ns, on, off)
-        if start is not None:
-            self._timers.append(start)
-        if end is not None:
-            self._timers.append(end)
+        # A fired handle goes back to the kernel's Timer pool and may be
+        # reissued to an unrelated call_at, so each leg forgets its own
+        # handle as it fires and cancel() only reaches pending ones.
+        legs: List = [None, None]
+
+        def fire_on() -> None:
+            legs[0] = None
+            on()
+
+        def fire_off() -> None:
+            legs[1] = None
+            off()
+
+        legs[:] = self.kernel.call_window(t_start_ns, t_end_ns, fire_on, fire_off)
+        self._pending.append(legs)
 
     def add_pipe_window(
         self, event: FaultEvent, idx: int, key: str, pipe, imp: Impairment
@@ -197,9 +208,11 @@ class ArmedScenario:
 
     def cancel(self) -> None:
         """Cancel every not-yet-fired arm/disarm timer."""
-        for timer in self._timers:
-            timer.cancel()
-        self._timers.clear()
+        for legs in self._pending:
+            for timer in legs:
+                if timer is not None:
+                    timer.cancel()
+        self._pending.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

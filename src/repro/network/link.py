@@ -47,11 +47,6 @@ class Link:
         # link instead of one per transmitted packet
         self._tx_complete_cb = self._tx_complete
         self.up = True  # administrative state (repro.faults link: targets)
-        # PDES hook: when set, transmission completions hand
-        # ``(link, packet)`` here instead of scheduling local propagation
-        # — the packet is leaving this shard and will be delivered by the
-        # peer shard that owns the receiving end (see repro.simkernel.pdes)
-        self.divert: Optional[Callable[["Link", Packet], None]] = None
         # statistics
         self.tx_packets = 0
         self.tx_bytes = 0
@@ -119,10 +114,6 @@ class Link:
 
     def _tx_complete(self, packet: Packet) -> None:
         self._queued_bytes -= packet.wire_size
-        divert = self.divert
-        if divert is not None:
-            divert(self, packet)
-            return
         if self.prop_delay_ns:
             self.kernel.post_after(self.prop_delay_ns, self.sink, packet)
         else:

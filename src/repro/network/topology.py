@@ -34,9 +34,7 @@ class ClusterConfig:
     # contiguous groups, each with its own switch per path, and the pod
     # switches of one path form a full mesh of trunk links.  ``n_pods=1``
     # reproduces the paper's flat single-switch testbed exactly (same
-    # component names, same wiring).  Pods are also the sharding unit for
-    # conservative parallel DES: the trunks are the only links crossing
-    # pod boundaries, so their propagation delay is the PDES lookahead.
+    # component names, same wiring).
     n_pods: int = 1
     bandwidth_bps: int = GBIT_PER_S
     prop_delay_ns: int = 5 * MICROSECOND  # host <-> switch, one way
@@ -93,10 +91,6 @@ class Cluster:
     def arm_scenario(self, scenario: "FaultScenario") -> "ArmedScenario":
         """Arm a fault-injection timeline onto this cluster's pipes/links."""
         return scenario.arm(self.kernel, self.pipes, links=self.links)
-
-    def pod_of(self, host_index: int) -> int:
-        """Pod (sharding unit) a host belongs to."""
-        return self.config.pod_of(host_index)
 
     def switch_for(self, path: int, pod: int = 0) -> Switch:
         """The switch serving one (path, pod)."""

@@ -79,7 +79,7 @@ class Timer:
     Timers are pooled: once a timer has fired or been cancelled the
     handle is dead and the object may be reused for a later
     ``call_at``/``call_after``.  Callers must drop (or null out) handles
-    on fire/cancel — every transport in this repo does — and never
+    on fire/cancel — every caller in this repo does — and never
     cancel a handle that might already have fired and been reused.
     """
 
@@ -568,16 +568,6 @@ class Kernel:
         self._watchdog = None
 
     # -- running ---------------------------------------------------------
-    def next_event_time(self) -> Optional[int]:
-        """Timestamp of the earliest queued entry, or None when idle.
-
-        Conservative: a lazily-cancelled head counts (its timestamp is a
-        lower bound on the next real event), which is exactly what the
-        parallel-DES lookahead computation needs.
-        """
-        heap = self._heap
-        return heap[0][0] if heap else None
-
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Process events until the heap drains, ``until`` is reached, or
         ``max_events`` fire.  Returns the number of events processed."""

@@ -2,8 +2,8 @@
 
 ``python -m repro.supervise.selftest`` injects every failure mode the
 execution layer claims to survive — worker crashes, hangs, persistent
-failures, corrupted cache entries, killed and wedged PDES shards, and a
-livelocked kernel — and asserts the documented recovery behaviour:
+failures, corrupted cache entries, and a livelocked kernel — and
+asserts the documented recovery behaviour:
 
 1. **sweep chaos** — a four-cell pingpong sweep where a seeded victim
    crashes once (must recover on retry), a second hangs once (must be
@@ -15,11 +15,7 @@ livelocked kernel — and asserts the documented recovery behaviour:
    second with a truncated copy; the resume run must log a miss,
    recompute both, overwrite the bad entries, and reproduce the
    document byte-for-byte.
-3. **PDES degradation** — a sharded run whose worker is killed (and,
-   separately, SIGSTOP'd) must reap the cohort, degrade to the serial
-   leg, flag ``degraded``, and produce metrics byte-identical to a
-   healthy serial run.
-4. **kernel watchdog** — a planted zero-delay livelock and an event
+3. **kernel watchdog** — a planted zero-delay livelock and an event
    budget overrun must both raise :class:`WatchdogExpired`.
 
 Victim cells are chosen by the same SHA-256 stream-derivation
@@ -36,16 +32,12 @@ import argparse
 import hashlib
 import json
 import logging
-import sys
 import tempfile
 from pathlib import Path
 from typing import Callable, List
 
-from ..core.world import WorldConfig
-from ..simkernel import SECOND, Kernel, WatchdogExpired
-from ..simkernel.pdes import run_sharded
+from ..simkernel import Kernel, WatchdogExpired
 from ..sweep import SweepCache, dumps_result, run_sweep, spec_from_dict
-from ..workloads.mpbench import make_pingpong
 from . import SupervisePolicy
 
 SEED = 2005  # the paper's year; any fixed value works
@@ -196,45 +188,6 @@ def check_corrupt_cache() -> List[str]:
     return failures
 
 
-def check_pdes_degradation() -> List[str]:
-    """Killed and wedged shards must degrade to byte-identical serial."""
-    failures: List[str] = []
-    config = WorldConfig(n_procs=2, rpi="sctp", seed=1, loss_rate=0.0, n_pods=1)
-    horizon = 5 * SECOND
-    app = make_pingpong(16384, 4)
-
-    def invariant(result) -> str:
-        return json.dumps(
-            {
-                "results": result.results,
-                "events": result.events_processed,
-                "metrics": result.metrics,
-            },
-            sort_keys=True,
-        )
-
-    serial = run_sharded(app, config=config, horizon_ns=horizon, n_shards=1)
-    if serial.degraded:
-        failures.append("serial leg must never be marked degraded")
-    for chaos in ("kill:1:1", "hang:0:2"):
-        result = run_sharded(
-            app,
-            config=config,
-            horizon_ns=horizon,
-            n_shards=2,
-            shard_timeout_s=5.0,
-            chaos=chaos,
-        )
-        if not result.degraded or not result.degraded_reason:
-            failures.append(f"chaos {chaos}: run was not marked degraded")
-            continue
-        if invariant(result) != invariant(serial):
-            failures.append(
-                f"chaos {chaos}: degraded metrics differ from the serial leg"
-            )
-    return failures
-
-
 def check_kernel_watchdog() -> List[str]:
     """A planted livelock and an event-budget overrun must both trip."""
     failures: List[str] = []
@@ -272,7 +225,6 @@ def check_kernel_watchdog() -> List[str]:
 CHECKS: List[Callable[[], List[str]]] = [
     check_sweep_chaos,
     check_corrupt_cache,
-    check_pdes_degradation,
     check_kernel_watchdog,
 ]
 

@@ -4,9 +4,8 @@ Every rank holds a "domain slab" and each iteration ships its boundary
 halo to the next rank on a ring while receiving the previous rank's —
 the communication pattern of 1-D domain-decomposed stencil solvers, and
 the canonical large-world workload: unlike ping-pong it keeps *every*
-host busy, so it exercises pod trunks and is the natural benchmark for
-the sharded (parallel DES) runner where each pod simulates on its own
-core.
+host busy, so on a pod cluster it exercises the trunks between pod
+switches.
 """
 
 from __future__ import annotations

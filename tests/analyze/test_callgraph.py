@@ -141,6 +141,5 @@ def test_real_tree_loads_and_finds_the_fork_boundaries():
     p = Program.load("src/repro")
     graph = CallGraph.build(p)
     targets = {s.target for s in graph.fork_sites}
-    assert "repro.simkernel.pdes._worker_main" in targets
     assert "repro.supervise.executor._child_main" in targets
     assert "repro.bench.parallel.run_cell" in targets

@@ -124,6 +124,21 @@ def test_cancel_unarms_future_events():
     assert len(sinks["p"]) == 1, "cancelled scenario must not fire"
 
 
+def test_cancel_after_windows_fired_leaves_other_timers_alone():
+    # fired window handles go back to the kernel's Timer pool; cancel()
+    # must not reach the unrelated timer that reuses one of them
+    k = Kernel(seed=1)
+    pipes, _ = make_pipes(k, ["p"])
+    scenario = FaultScenario("s", [FaultEvent(100, 200, "p", Blackhole())])
+    armed = scenario.arm(k, pipes)
+    k.run()
+    fired = []
+    k.call_after(50, fired.append, "rto")
+    armed.cancel()
+    k.run()
+    assert fired == ["rto"]
+
+
 def test_link_target_downs_link_for_window():
     k = Kernel(seed=1)
     delivered = []
